@@ -380,6 +380,25 @@ func BenchmarkEscapeBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSurePathRebuild8x8x8 measures one in-run table refresh of PolSP
+// on the paper's 8x8x8 with 80 static random faults: the polarized
+// distance tables plus the escape subnetwork, the work a live link
+// failure costs.
+func BenchmarkSurePathRebuild8x8x8(b *testing.B) {
+	h := topo.MustHyperX(8, 8, 8)
+	nw := topo.NewNetwork(h, topo.NewFaultSet(topo.RandomFaultSequence(h, 1)[:80]...))
+	mech, err := core.New(nw, core.PolarizedRoutes, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := mech.Rebuild(nw); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPolarizedCandidates measures per-hop candidate generation, the
 // simulator's innermost routing call.
 func BenchmarkPolarizedCandidates(b *testing.B) {

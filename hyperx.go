@@ -75,7 +75,7 @@ type EscapeRule = escape.Rule
 
 // Escape rules: RulePhased (provably deadlock-free refinement, default),
 // RuleUDTable (the paper's literal table rule, whose channel dependency
-// graph has cycles — see EXPERIMENTS.md), and RuleTree (the shortcut-free
+// graph has cycles — see TestPaperRuleHasCycles in internal/escape), and RuleTree (the shortcut-free
 // AutoNet-style baseline used by the ablation).
 const (
 	RulePhased  = escape.RulePhased

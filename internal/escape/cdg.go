@@ -13,7 +13,7 @@ package escape
 // descending tail level precede descent channels ordered by the descent
 // DAG's topological order) and the check validates the implementation.
 // Under RuleUDTable — the paper's literal rule — the check *finds* cycles,
-// e.g. rings of same-level shortcuts; see EXPERIMENTS.md.
+// e.g. rings of same-level shortcuts; TestPaperRuleHasCycles locks this in.
 
 import "repro/internal/topo"
 
@@ -28,24 +28,23 @@ func (s *Subnetwork) holdNext(x, y, z, t int32) bool {
 	if t == y {
 		return false // the packet ejects at y and requests nothing
 	}
-	n := s.n
+	pk := s.pk[int(t)*s.n*3:]
 	if s.rule == RuleUDTable {
-		row := s.ud[int(t)*n:]
-		return row[y] < row[x] && row[z] < row[y]
+		return pk[int(y)*3] < pk[int(x)*3] && pk[int(z)*3] < pk[int(y)*3]
 	}
-	ddr := s.ddr[int(t)*n:]
-	uddr := s.uddr[int(t)*n:]
+	ddrY, ddrZ := pk[int(y)*3+1], pk[int(z)*3+1]
+	uddrX, uddrY, uddrZ := pk[int(x)*3+2], pk[int(y)*3+2], pk[int(z)*3+2]
 	upIn := s.level[y] == s.level[x]-1
 	upOut := s.level[z] == s.level[y]-1
 	if upIn {
 		// Holder is in the Up phase after an up hop.
-		if uddr[y] >= uddr[x] {
+		if uddrY >= uddrX {
 			return false // entry hop was not legal
 		}
 		if upOut {
-			return uddr[z] < uddr[y]
+			return uddrZ < uddrY
 		}
-		return s.descentEdge(y, z) && ddr[z] < topo.Unreachable
+		return s.descentEdge(y, z) && ddrZ < topo.Unreachable
 	}
 	// Holder crossed a descent edge: it is in the Down phase and can only
 	// continue descending. Entry legality (transition or Down hop) is
@@ -53,7 +52,7 @@ func (s *Subnetwork) holdNext(x, y, z, t int32) bool {
 	if !s.descentEdge(x, y) || upOut {
 		return false
 	}
-	return ddr[y] < topo.Unreachable && s.descentEdge(y, z) && ddr[z] < ddr[y]
+	return ddrY < topo.Unreachable && s.descentEdge(y, z) && ddrZ < ddrY
 }
 
 // usable reports whether channel (x -> y) can carry any escape packet at

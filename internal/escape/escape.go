@@ -13,11 +13,11 @@
 //
 //   - RuleUDTable is the paper's literal mechanism: a hop x -> y is legal
 //     exactly when it strictly reduces the Up/Down distance to the target,
-//     ud(y,t) < ud(x,t). Reproducing it exposed a finding documented in
-//     EXPERIMENTS.md: the rule admits cycles in the escape channel
-//     dependency graph (CheckDeadlockFree returns them), e.g. rings of
-//     same-level shortcuts, so single-buffer deadlock freedom is not
-//     guaranteed by the Dally-Seitz criterion.
+//     ud(y,t) < ud(x,t). Reproducing it exposed a finding that
+//     TestPaperRuleHasCycles locks in: the rule admits cycles in the
+//     escape channel dependency graph (CheckDeadlockFree returns them),
+//     e.g. rings of same-level shortcuts, so single-buffer deadlock
+//     freedom is not guaranteed by the Dally-Seitz criterion.
 //
 //   - RulePhased (the default) is a refinement that keeps the opportunistic
 //     shortcuts but is provably deadlock-free. Each escape packet is in an
@@ -40,6 +40,7 @@ package escape
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -87,9 +88,6 @@ type Subnetwork struct {
 	root  int32
 	rule  Rule
 	level []int32 // BFS distance from root over live links
-	ud    []int32 // ud[t*n+x]: black-only Up/Down distance x -> t
-	ddr   []int32 // ddr[t*n+x]: descent-DAG distance x -> t (RulePhased)
-	uddr  []int32 // uddr[t*n+x]: up-prefix + descent distance (RulePhased)
 	// nbr[x*radix+p] is PortNeighbor(x, p) when the link is alive, -1 when
 	// it has failed: one load replaces two coordinate decodes and a
 	// fault-set probe in the candidate scan, and the subnetwork is rebuilt
@@ -97,12 +95,16 @@ type Subnetwork struct {
 	nbr   []int32
 	radix int
 	n     int
-	// pk interleaves (ud, ddr, uddr) as pk[(t*n+x)*3 .. +2] so the
-	// candidate scan touches one cache line per neighbor instead of one
-	// line in each of three n*n arrays — the scan is the hottest loop of
-	// the simulator and the three separate rows were three misses per
-	// port. Built from the finished tables at construction (RulePhased and
-	// RuleTree only); a read-optimized copy, never mutated.
+	// pk holds the three escape distances from x to t interleaved as
+	// pk[(t*n+x)*3 .. +2] = (ud, ddr, uddr):
+	//
+	//	ud:   black-only Up/Down distance
+	//	ddr:  descent-DAG distance (Unreachable under RuleUDTable)
+	//	uddr: up-prefix plus descent distance (Unreachable under RuleUDTable)
+	//
+	// Interleaving lets the candidate scan — the hottest loop of the
+	// simulator — touch one cache line per neighbor instead of one line in
+	// each of three n*n arrays. Never mutated after Build.
 	pk []int32
 }
 
@@ -137,82 +139,166 @@ func BuildWithRule(nw *topo.Network, root int32, rule Rule) (*Subnetwork, error)
 			}
 		}
 	}
-	s.ud = make([]int32, n*n)
-	s.computeBlackUpDown(g)
-	if rule == RulePhased || rule == RuleTree {
-		s.ddr = make([]int32, n*n)
-		s.uddr = make([]int32, n*n)
-		s.computePhased(g)
-		s.pk = make([]int32, 3*n*n)
-		for i := 0; i < n*n; i++ {
-			s.pk[i*3] = s.ud[i]
-			s.pk[i*3+1] = s.ddr[i]
-			s.pk[i*3+2] = s.uddr[i]
-		}
-	}
+	s.buildTables(g)
 	return s, nil
 }
 
-// byLevelOrder returns the switches sorted by increasing level.
-func (s *Subnetwork) byLevelOrder() []int32 {
-	maxLevel := int32(0)
-	for _, l := range s.level {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	order := make([]int32, 0, s.n)
-	for l := int32(0); l <= maxLevel; l++ {
-		for v := int32(0); v < int32(s.n); v++ {
-			if s.level[v] == l {
-				order = append(order, v)
-			}
-		}
-	}
-	return order
+// csr is a directed adjacency list in compressed sparse row form.
+type csr struct {
+	off []int32 // len n+1
+	val []int32
 }
 
-// computeBlackUpDown fills s.ud. For each target t it first computes
-// down(w) = min black hops w -> t moving strictly away from the root at
-// every step (reverse BFS over Down edges), then folds in up-prefixes with a
-// dynamic program over increasing levels:
+func (c *csr) out(x int) []int32 { return c.val[c.off[x]:c.off[x+1]] }
+
+// newCSR keeps the directed edges x -> y of g for which keep holds.
+func newCSR(g *topo.Graph, keep func(x, y int32) bool) csr {
+	n := g.N()
+	c := csr{off: make([]int32, n+1)}
+	for x := int32(0); x < int32(n); x++ {
+		for _, y := range g.Neighbors(x) {
+			if keep(x, y) {
+				c.val = append(c.val, y)
+			}
+		}
+		c.off[x+1] = int32(len(c.val))
+	}
+	return c
+}
+
+// buildTables fills pk. Every table is a two-phase reachability: a target
+// t is within k hops of x when a first-phase path of at most k hops
+// reaches it, or an up-neighbor is within k-1 hops. Over a block of 64
+// targets, one bit each, that is the level-synchronous recurrence
 //
-//	ud(x,t) = min( down(x), 1 + min{ ud(y,t) : y black neighbor one level
-//	               closer to the root } )
-func (s *Subnetwork) computeBlackUpDown(g *topo.Graph) {
+//	A_k[x] = A_{k-1}[x] | OR A_{k-1}[y]  over first-phase successors y
+//	B_k[x] = A_k[x]     | OR B_{k-1}[y]  over up-neighbors y
+//
+// from A_0[x] = B_0[x] = {x}, iterated until neither set changes; the
+// level at which t enters a set is the distance. The black Down links as
+// the first phase give ud in B; the descent-DAG edges give ddr in A and
+// uddr in B. One level costs one OR per (edge, block).
+func (s *Subnetwork) buildTables(g *topo.Graph) {
 	n := s.n
-	order := s.byLevelOrder()
-	down := make([]int32, n)
-	queue := make([]int32, 0, n)
-	for t := int32(0); t < int32(n); t++ {
-		for i := range down {
-			down[i] = topo.Unreachable
+	s.pk = make([]int32, 3*n*n)
+	lv := s.level
+	down := newCSR(g, func(x, y int32) bool { return lv[y] == lv[x]+1 })
+	up := newCSR(g, func(x, y int32) bool { return lv[y] == lv[x]-1 })
+	var descent csr
+	if s.rule != RuleUDTable {
+		descent = newCSR(g, s.descentEdge)
+	}
+	k := kernel{
+		n: n, up: &up,
+		a: make([]uint64, n), aNext: make([]uint64, n),
+		b: make([]uint64, n), bNext: make([]uint64, n),
+		lev: make([]int32, n*64*3),
+	}
+	if s.rule == RuleUDTable {
+		// Only ud is computed; ddr and uddr stay Unreachable.
+		for i := 0; i < len(k.lev); i += 3 {
+			k.lev[i+1], k.lev[i+2] = topo.Unreachable, topo.Unreachable
 		}
-		down[t] = 0
-		queue = append(queue[:0], t)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			dv := down[v]
-			for _, w := range g.Neighbors(v) {
-				if s.level[w] == s.level[v]-1 && down[w] == topo.Unreachable {
-					down[w] = dv + 1
-					queue = append(queue, w)
+	}
+	for base := 0; base < n; base += 64 {
+		k.base, k.width = base, min(64, n-base)
+		k.run(&down, -1, 0)
+		if s.rule != RuleUDTable {
+			k.run(&descent, 1, 2)
+		}
+		// Transpose the block into its pk rows, in tiles of 16 switches so
+		// the scratch runs being read stay in cache across the rows.
+		for x0 := 0; x0 < n; x0 += 16 {
+			x1 := min(x0+16, n)
+			for i := 0; i < k.width; i++ {
+				row := s.pk[((base+i)*n+x0)*3 : ((base+i)*n+x1)*3]
+				lev := k.lev[x0*64*3:]
+				for j := range x1 - x0 {
+					at := (j*64 + i) * 3
+					row[j*3], row[j*3+1], row[j*3+2] = lev[at], lev[at+1], lev[at+2]
 				}
 			}
 		}
-		row := s.ud[int(t)*n : int(t)*n+n]
-		for _, x := range order {
-			best := down[x]
-			lx := s.level[x]
-			for _, y := range g.Neighbors(x) {
-				if s.level[y] == lx-1 && row[y]+1 < best {
-					best = row[y] + 1
+	}
+}
+
+// kernel is the scratch of the two-phase recurrence for one target block.
+type kernel struct {
+	n           int
+	up          *csr
+	base, width int // the block's targets are base .. base+width-1
+	a, aNext    []uint64
+	b, bNext    []uint64
+	// lev[(x*64+i)*3+c] is pk column c of the entry (base+i, x): writes
+	// stay within x's own run while the bits arrive, and buildTables
+	// transposes the block into pk when it is done.
+	lev []int32
+}
+
+// run iterates the recurrence of buildTables over the first-phase edges
+// first, writing the levels of A into column colA (skipped when negative)
+// and those of B into column colB. Targets a set never reaches get
+// Unreachable.
+func (k *kernel) run(first *csr, colA, colB int) {
+	n, base := k.n, k.base
+	full := ^uint64(0) >> (64 - k.width)
+	a, aNext, b, bNext := k.a, k.aNext, k.b, k.bNext
+	clear(a)
+	clear(b)
+	for i := 0; i < k.width; i++ {
+		a[base+i] = 1 << i
+		b[base+i] = 1 << i
+		k.write(base+i, 1<<i, colA, 0)
+		k.write(base+i, 1<<i, colB, 0)
+	}
+	for level := int32(1); ; level++ {
+		grew := false
+		for x := 0; x < n; x++ {
+			ax := a[x]
+			if ax != full {
+				for _, y := range first.out(x) {
+					ax |= a[y]
+				}
+				if nw := ax &^ a[x]; nw != 0 {
+					grew = true
+					k.write(x, nw, colA, level)
 				}
 			}
-			// best is always finite: every switch reaches the root going up
-			// and the root reaches t going down.
-			row[x] = best
+			aNext[x] = ax
+			bx := b[x] | ax
+			if bx != full {
+				for _, y := range k.up.out(x) {
+					bx |= b[y]
+				}
+			}
+			if nw := bx &^ b[x]; nw != 0 {
+				grew = true
+				k.write(x, nw, colB, level)
+			}
+			bNext[x] = bx
 		}
+		if !grew {
+			break
+		}
+		a, aNext = aNext, a
+		b, bNext = bNext, b
+	}
+	for x := 0; x < n; x++ {
+		k.write(x, full&^a[x], colA, topo.Unreachable)
+		k.write(x, full&^b[x], colB, topo.Unreachable)
+	}
+	k.a, k.aNext, k.b, k.bNext = a, aNext, b, bNext
+}
+
+// write stores d into column col of the entries (t, x) for every target t
+// of the block whose bit is set in targets.
+func (k *kernel) write(x int, targets uint64, col int, d int32) {
+	if col < 0 {
+		return
+	}
+	run := k.lev[x*64*3 : (x+1)*64*3]
+	for ; targets != 0; targets &= targets - 1 {
+		run[bits.TrailingZeros64(targets)*3+col] = d
 	}
 }
 
@@ -229,48 +315,6 @@ func (s *Subnetwork) descentEdge(x, y int32) bool {
 	return s.rule != RuleTree && x < y
 }
 
-// computePhased fills ddr (descent-DAG distances) and uddr (optimal
-// up-prefix plus descent) for every target.
-func (s *Subnetwork) computePhased(g *topo.Graph) {
-	n := s.n
-	order := s.byLevelOrder()
-	queue := make([]int32, 0, n)
-	for t := int32(0); t < int32(n); t++ {
-		ddr := s.ddr[int(t)*n : int(t)*n+n]
-		for i := range ddr {
-			ddr[i] = topo.Unreachable
-		}
-		// Reverse BFS from t over descent edges.
-		ddr[t] = 0
-		queue = append(queue[:0], t)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			dv := ddr[v]
-			for _, w := range g.Neighbors(v) {
-				if s.descentEdge(w, v) && ddr[w] == topo.Unreachable {
-					ddr[w] = dv + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		// uddr(x) = min(ddr(x), 1 + min over up-neighbors y of uddr(y)),
-		// processed by increasing level so up-neighbors are final.
-		uddr := s.uddr[int(t)*n : int(t)*n+n]
-		for _, x := range order {
-			best := ddr[x]
-			lx := s.level[x]
-			for _, y := range g.Neighbors(x) {
-				if s.level[y] == lx-1 && uddr[y]+1 < best {
-					best = uddr[y] + 1
-				}
-			}
-			// Finite via the root: ddr(root, t) <= level(t) because BFS
-			// shortest paths from the root descend one level per hop.
-			uddr[x] = best
-		}
-	}
-}
-
 // Root returns the root switch of the subnetwork.
 func (s *Subnetwork) Root() int32 { return s.root }
 
@@ -281,16 +325,11 @@ func (s *Subnetwork) RuleUsed() Rule { return s.rule }
 func (s *Subnetwork) Level(x int32) int32 { return s.level[x] }
 
 // UpDownDist returns the black-only Up/Down distance from x to t.
-func (s *Subnetwork) UpDownDist(x, t int32) int32 { return s.ud[int(t)*s.n+int(x)] }
+func (s *Subnetwork) UpDownDist(x, t int32) int32 { return s.pk[(int(t)*s.n+int(x))*3] }
 
 // DescentDist returns the descent-DAG distance from x to t under
 // RulePhased, or Unreachable when x cannot reach t by descending.
-func (s *Subnetwork) DescentDist(x, t int32) int32 {
-	if s.ddr == nil {
-		return topo.Unreachable
-	}
-	return s.ddr[int(t)*s.n+int(x)]
-}
+func (s *Subnetwork) DescentDist(x, t int32) int32 { return s.pk[(int(t)*s.n+int(x))*3+1] }
 
 // IsHorizontal reports whether the live link (x,y) is a horizontal
 // (shortcut, "red") link: both endpoints on the same level.
@@ -301,12 +340,7 @@ func (s *Subnetwork) IsHorizontal(x, y int32) bool { return s.level[x] == s.leve
 // measures the Section 7 "escape stretch": on HyperX escape routes contain
 // near-minimal paths; on other topologies they are much longer than graph
 // distance. Unavailable (Unreachable) under RuleUDTable.
-func (s *Subnetwork) RouteLen(x, t int32) int32 {
-	if s.uddr == nil {
-		return topo.Unreachable
-	}
-	return s.uddr[int(t)*s.n+int(x)]
-}
+func (s *Subnetwork) RouteLen(x, t int32) int32 { return s.pk[(int(t)*s.n+int(x))*3+2] }
 
 // shortcutPenalty grades a shortcut by its black Up/Down distance reduction,
 // Section 3.2's 80/64/48 classes. Reductions below 1 clamp to the worst
@@ -380,15 +414,15 @@ func (s *Subnetwork) Candidates(cur, dst int32, phase int8, buf []routing.PortCa
 
 // udTableCandidates implements the paper's literal rule.
 func (s *Subnetwork) udTableCandidates(cur, dst int32, buf []routing.PortCandidate) []routing.PortCandidate {
-	row := s.ud[int(dst)*s.n:]
-	udCur := row[cur]
+	pk := s.pk[int(dst)*s.n*3:]
+	udCur := pk[int(cur)*3]
 	lc := s.level[cur]
 	nbr := s.nbr[int(cur)*s.radix : int(cur+1)*s.radix]
 	for p, next := range nbr {
 		if next < 0 {
 			continue // failed link
 		}
-		delta := udCur - row[next]
+		delta := udCur - pk[int(next)*3]
 		if delta <= 0 {
 			continue
 		}

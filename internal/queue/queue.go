@@ -1209,7 +1209,12 @@ func workOnce(addr, name string, slots int, onFrame func()) (end sessionEnd, err
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				defer outstanding.Add(-1)
+				answered := false
+				defer func() {
+					if !answered {
+						outstanding.Add(-1)
+					}
+				}()
 				reply := message{Type: "result", ID: id, Fence: fence}
 				var res *sim.Result
 				runErr := err
@@ -1245,6 +1250,13 @@ func workOnce(addr, name string, slots int, onFrame func()) (end sessionEnd, err
 					reply.Sum = hex.EncodeToString(sum[:])
 				}
 				wmu.Lock()
+				// The job stops being outstanding before its reply can
+				// reach the server: a legacy server hangs up as soon as it
+				// reads the last result, and the reader must then see an
+				// idle session. Holding wmu keeps the drain watcher from
+				// hanging up between the two.
+				outstanding.Add(-1)
+				answered = true
 				_ = writeMessage(conn, &reply)
 				wmu.Unlock()
 			}()

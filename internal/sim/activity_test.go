@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -371,5 +373,64 @@ func TestSpinPoolParkPath(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("close did not release parked workers")
+	}
+}
+
+// TestSpinPoolNoLostWakeup forces the interleaving that lost wake-ups on
+// a shared wake channel: more workers than Ps, the oversubscribed spin
+// budget (a worker parks at its first yield point), and thousands of
+// back-to-back generations, so a worker that has flagged itself parked
+// but not yet blocked is routinely overtaken by a release and by a
+// sibling parking for the next generation. Every generation must
+// complete; a generation stuck for seconds fails the test at the
+// watchdog instead of hanging the package.
+func TestSpinPoolNoLostWakeup(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const (
+		extra       = 7
+		rounds      = 20
+		generations = 5000
+		stuckAfter  = 10 * time.Second
+	)
+	var completed atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		for round := 0; round < rounds; round++ {
+			p := newSpinPool(extra, spinYieldEvery)
+			var ran atomic.Int64
+			for gen := 0; gen < generations; gen++ {
+				p.run(func(w int) {
+					if w%3 == 0 {
+						runtime.Gosched()
+					}
+					ran.Add(1)
+				})
+				completed.Add(1)
+			}
+			p.close()
+			if got, want := ran.Load(), int64(generations*(extra+1)); got != want {
+				done <- fmt.Errorf("round %d: %d worker bodies ran, want %d", round, got, want)
+				return
+			}
+		}
+		done <- nil
+	}()
+	tick := time.NewTicker(stuckAfter)
+	defer tick.Stop()
+	last := int64(-1)
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		case <-tick.C:
+			now := completed.Load()
+			if now == last {
+				t.Fatalf("phase barrier stuck after %d generations: a parked worker missed its wake-up", now)
+			}
+			last = now
+		}
 	}
 }

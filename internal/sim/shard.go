@@ -82,19 +82,24 @@ const spinParkAfter = 64 * spinYieldEvery
 // is what the spin removes.
 //
 // The spin→park hybrid: a waiter (worker or collecting caller) that
-// exhausts its spin budget registers itself in a parked counter, rechecks
-// the condition it is waiting on, and only then blocks on a buffered wake
-// channel; the releasing side updates the condition first and then sends
-// one token per registered waiter, non-blocking (the channel's capacity
-// banks any token a waiter no longer needs, and a banked token wakes the
-// next parked waiter, which simply rechecks and re-parks). Go atomics are
-// sequentially consistent, so the register→recheck order against the
-// release→read-parked order makes a lost wake-up impossible; a spurious
-// one costs a recheck. Under oversubscription — more engine workers in
-// the process than GOMAXPROCS — startPool shrinks the spin budget to a
-// single yield round, so the surplus workers park almost immediately and
-// the barrier degrades toward a channel pool instead of spinning against
-// goroutines that have no P to run on.
+// exhausts its spin budget raises its own parked flag, rechecks the
+// condition it is waiting on, and only then blocks on its own wake
+// channel (capacity 1); the releasing side updates the condition first
+// and then sends a token, non-blocking, to each waiter whose flag is up
+// (a full channel already banks a token for that waiter, and a banked
+// token no longer needed costs its owner one recheck). Go atomics are
+// sequentially consistent, so the flag→recheck order against the
+// release→read-flag order guarantees that a waiter which blocks gets a
+// token. The channels must be per waiter: with one shared worker channel
+// and a parked counter, a worker that parked for the next generation
+// could drain the token banked for a sibling that had registered but not
+// yet blocked, leaving the sibling asleep on a released generation — a
+// lost wake-up (TestSpinPoolNoLostWakeup forces that interleaving). Under
+// oversubscription — more engine workers in the process than GOMAXPROCS
+// — startPool shrinks the spin budget to a single yield round, so the
+// surplus workers park almost immediately and the barrier degrades toward
+// a channel pool instead of spinning against goroutines that have no P to
+// run on.
 //
 // Correctness of the handoff: run publishes fn with a plain store before
 // the gen.Add release, and workers read it after observing the new
@@ -114,24 +119,32 @@ type spinPool struct {
 	arrived atomic.Int32
 	_       [64]byte
 
-	parked       atomic.Int32 // workers blocked (or about to block) on wake
-	callerParked atomic.Bool  // collecting caller blocked on doneWake
+	slots        []parkSlot  // one per extra worker
+	callerParked atomic.Bool // collecting caller blocked on doneWake
 	stop         atomic.Bool
-	wake         chan struct{} // worker wake tokens, cap extra
 	doneWake     chan struct{} // caller wake token, cap 1
 	wg           sync.WaitGroup
+}
+
+// parkSlot is one worker's parking place: its flag, raised while it is
+// blocked (or about to block) on wake, and its own token channel.
+type parkSlot struct {
+	parked atomic.Bool
+	wake   chan struct{} // cap 1
 }
 
 func newSpinPool(extra int, spinBudget int32) *spinPool {
 	p := &spinPool{
 		extra:      int32(extra),
 		spinBudget: spinBudget,
-		wake:       make(chan struct{}, extra),
+		slots:      make([]parkSlot, extra),
 		doneWake:   make(chan struct{}, 1),
 	}
 	p.wg.Add(extra)
 	for i := 0; i < extra; i++ {
 		w := i + 1
+		slot := &p.slots[i]
+		slot.wake = make(chan struct{}, 1)
 		go func() {
 			defer p.wg.Done()
 			last := uint32(0)
@@ -144,15 +157,14 @@ func newSpinPool(extra int, spinBudget int32) *spinPool {
 						runtime.Gosched()
 						continue
 					}
-					// Register, recheck, then block: a release between
-					// the register and the recheck is caught by the
-					// recheck, one between the recheck and the receive
-					// reads parked afterwards and sends a token.
-					p.parked.Add(1)
+					// Flag, recheck, then block: a release between the
+					// flag and the recheck is caught by the recheck, one
+					// after the recheck reads the flag and sends a token.
+					slot.parked.Store(true)
 					if p.gen.Load() == last {
-						<-p.wake
+						<-slot.wake
 					}
-					p.parked.Add(-1)
+					slot.parked.Store(false)
 					spins = 0
 				}
 				last++
@@ -176,10 +188,12 @@ func (p *spinPool) run(fn func(w int)) {
 	p.fn = fn
 	p.arrived.Store(0)
 	p.gen.Add(1)
-	for n := p.parked.Load(); n > 0; n-- {
-		select {
-		case p.wake <- struct{}{}:
-		default: // full: enough banked tokens for every parked worker
+	for i := range p.slots {
+		if slot := &p.slots[i]; slot.parked.Load() {
+			select {
+			case slot.wake <- struct{}{}:
+			default: // a token is already banked for this worker
+			}
 		}
 	}
 	fn(0)
@@ -191,7 +205,7 @@ func (p *spinPool) run(fn func(w int)) {
 			runtime.Gosched()
 			continue
 		}
-		// Same register→recheck→block shape as the workers; the last
+		// Same flag→recheck→block shape as the workers; the last
 		// arriver sends the token. A banked token from an earlier phase
 		// wakes the caller spuriously, which rechecks and re-parks.
 		p.callerParked.Store(true)
@@ -206,11 +220,13 @@ func (p *spinPool) run(fn func(w int)) {
 func (p *spinPool) close() {
 	p.stop.Store(true)
 	p.gen.Add(1)
-	// Closing wake releases every parked worker (and any future park
-	// attempt) without token accounting; each rechecks gen, sees the
-	// bumped generation and exits through the stop check. run is never
-	// called after close, so nothing sends on the closed channel.
-	close(p.wake)
+	// Closing the wake channels releases every parked worker (and any
+	// future park attempt) without token accounting; each rechecks gen,
+	// sees the bumped generation and exits through the stop check. run is
+	// never called after close, so nothing sends on a closed channel.
+	for i := range p.slots {
+		close(p.slots[i].wake)
+	}
 	p.wg.Wait()
 }
 

@@ -7,6 +7,7 @@ package topo
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -163,11 +164,63 @@ func (g *Graph) BFS(src int32, dist []int32) int {
 
 // Distances returns the full all-pairs distance table, row-major n*n, with
 // Unreachable for disconnected pairs.
+//
+// The BFS runs bit-parallel and level-synchronous: sources go 64 to a
+// block, one bit of a uint64 per vertex each, so a level costs one OR per
+// (edge, block) instead of one visit per (edge, source). The graph is
+// undirected, so the table is symmetric and the sources vertex v meets at
+// level k are written into the contiguous run d[v*n+base : v*n+base+64]
+// of v's own row.
 func (g *Graph) Distances() []int32 {
 	n := g.N()
 	d := make([]int32, n*n)
-	for v := 0; v < n; v++ {
-		g.BFS(int32(v), d[v*n:(v+1)*n])
+	seen := make([]uint64, n)
+	front := make([]uint64, n)
+	next := make([]uint64, n)
+	for base := 0; base < n; base += 64 {
+		width := min(64, n-base)
+		full := ^uint64(0) >> (64 - width)
+		clear(seen)
+		clear(front)
+		for i := 0; i < width; i++ {
+			seen[base+i] = 1 << i
+			front[base+i] = 1 << i
+		}
+		for level := int32(1); ; level++ {
+			grew := false
+			for v := 0; v < n; v++ {
+				s := seen[v]
+				if s == full {
+					next[v] = 0
+					continue
+				}
+				var w uint64
+				for _, u := range g.val[g.off[v]:g.off[v+1]] {
+					w |= front[u]
+				}
+				w &^= s
+				next[v] = w
+				if w == 0 {
+					continue
+				}
+				grew = true
+				seen[v] = s | w
+				row := d[v*n+base : v*n+base+width]
+				for ; w != 0; w &= w - 1 {
+					row[bits.TrailingZeros64(w)] = level
+				}
+			}
+			if !grew {
+				break
+			}
+			front, next = next, front
+		}
+		for v := 0; v < n; v++ {
+			row := d[v*n+base : v*n+base+width]
+			for w := full &^ seen[v]; w != 0; w &= w - 1 {
+				row[bits.TrailingZeros64(w)] = Unreachable
+			}
+		}
 	}
 	return d
 }
@@ -201,15 +254,11 @@ func (g *Graph) Eccentricity(v int32) (ecc int32, connected bool) {
 func (g *Graph) Diameter() (int32, bool) {
 	var diam int32
 	connected := true
-	dist := make([]int32, g.N())
-	for v := 0; v < g.N(); v++ {
-		if g.BFS(int32(v), dist) != g.N() {
+	for _, d := range g.Distances() {
+		if d == Unreachable {
 			connected = false
-		}
-		for _, d := range dist {
-			if d != Unreachable && d > diam {
-				diam = d
-			}
+		} else if d > diam {
+			diam = d
 		}
 	}
 	return diam, connected
@@ -221,20 +270,13 @@ func (g *Graph) Diameter() (int32, bool) {
 // Disconnected pairs are excluded from both numerator and denominator.
 func (g *Graph) AvgDistance(inclSelf bool) float64 {
 	n := g.N()
-	if n == 0 {
-		return 0
-	}
 	var sum, pairs int64
-	dist := make([]int32, n)
-	for v := 0; v < n; v++ {
-		g.BFS(int32(v), dist)
-		for w, d := range dist {
-			if d == Unreachable || (w == v && !inclSelf) {
-				continue
-			}
-			sum += int64(d)
-			pairs++
+	for i, d := range g.Distances() {
+		if d == Unreachable || (i/n == i%n && !inclSelf) {
+			continue
 		}
+		sum += int64(d)
+		pairs++
 	}
 	if pairs == 0 {
 		return 0
